@@ -10,11 +10,15 @@ every push next to the benchmark gates.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/smoke_metrics.py
+    PYTHONPATH=src python benchmarks/smoke_metrics.py [--workers N]
+
+``--workers`` (default 2) sets the worker processes per model pool;
+``0`` serves in-process and must export the same series.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
@@ -37,7 +41,13 @@ REQUIRED_SERIES = (
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, default=2,
+                        help="worker processes per model pool (0 = "
+                             "in-process)")
+    args = parser.parse_args(argv)
+
     import repro
     from repro import datasets
     from repro.obs.export import parse_prometheus
@@ -52,7 +62,7 @@ def main() -> int:
         synth.fit(table)
         synth.save(root / "smoke-gan")
 
-        with SynthesisServer(root, workers=2).start() as server:
+        with SynthesisServer(root, workers=args.workers).start() as server:
             def post(body: dict) -> dict:
                 request = urllib.request.Request(
                     f"{server.url}/models/smoke-gan/sample",
@@ -86,7 +96,7 @@ def main() -> int:
               file=sys.stderr)
         return 1
     print(f"OK: /metrics serves {len(series)} series "
-          f"({rows:.0f} rows counted)")
+          f"({rows:.0f} rows counted, workers={args.workers})")
     return 0
 
 

@@ -7,10 +7,18 @@ sharded-seed contract (:func:`repro.api.chunk_plan`): chunk ``i`` of a
 ``sample(n, batch, seed)`` request is generated from the substream
 ``(seed, "chunk", i)`` *wherever it runs*, so the pool's reassembled
 output is bit-identical to single-process ``sample(n, batch=batch,
-seed=seed)`` — for any worker count, including the inline ``workers=0``
-mode.  Database requests are not sharded (a database draw is a
-sequential parents-first walk); they run whole on one worker, with
-parallelism coming from concurrent requests.
+seed=seed)`` — for any worker count, including ``workers=0``.
+Database requests are not sharded (a database draw is a sequential
+parents-first walk); they run whole on one worker, with parallelism
+coming from concurrent requests.
+
+In-process execution has one routine, :meth:`WorkerPool._run_inline`,
+which runs the same task tuple a worker receives against the pool's
+single lazily loaded in-process model.  A ``workers=0`` pool is a pool
+with no slots that is in *takeover* from construction, so its requests
+take the same ``_begin -> _dispatch -> wait_index -> _end`` route as a
+process pool's; a process pool whose every slot retired enters takeover
+and drains its in-flight work through the same routine.
 
 Transport: every worker slot gets its **own pair of pipes** (tasks
 down, results up).  A shared ``mp.Queue`` cannot survive worker death —
@@ -26,7 +34,7 @@ Fault tolerance (the self-healing layer):
 * **Chunk-level recovery.**  When a worker dies (OOM, SIGKILL,
   segfault), its buffered results are drained, then only its
   claimed-but-undelivered chunks are requeued to surviving workers —
-  or executed by the parent inline, as a last resort.  Re-execution
+  or executed in-process, as a last resort.  Re-execution
   pulls the same ``(seed, "chunk", i)`` substream, so recovered output
   is bit-identical to an uninterrupted run and duplicate delivery is
   harmless.
@@ -114,6 +122,39 @@ def _is_cancelled(cancel_ring, req_id: int) -> bool:
     return req_id in list(raw)[1:]
 
 
+def _task_results(model, task: tuple, tags: dict
+                  ) -> Iterator[Tuple[int, object, Optional[dict]]]:
+    """Execute one task tuple on ``model``: yield ``(index, payload, span)``.
+
+    The per-task loop shared by worker processes and the pool's
+    in-process executor, so the chunk-span format is written once.  A
+    ``"database"`` task yields its whole draw as index 0 (no span).
+    Spans are plain dicts, not Spans: a worker ships them over its
+    result pipe and the parent stitches them into the request Trace.
+    ``tags`` names the executor (slot and incarnation, or ``"inline"``).
+    """
+    kind = task[0]
+    if kind == "database":
+        _, _, scale, sizes, batch, seed = task
+        yield 0, model.sample(scale, sizes=sizes, batch=batch,
+                              seed=seed), None
+        return
+    if kind != "chunks":
+        raise ValueError(f"unknown task kind {kind!r}")
+    _, _, n, batch, seed, indices, traced = task
+    chunk_started = _obs_clock.perf()
+    for index, table in model.sample_chunks(n, batch=batch, seed=seed,
+                                            indices=indices):
+        span = None
+        if traced:
+            done = _obs_clock.perf()
+            span = {"span_id": f"chunk-{index}", "name": "chunk",
+                    "start": chunk_started, "end": done,
+                    "tags": {"chunk": index, **tags}}
+            chunk_started = done
+        yield index, table, span
+
+
 def _worker_main(path: str, worker_id: int, incarnation: int,
                  dtype_name: str, task_r, result_w, cancel_ring) -> None:
     """Worker process body: load once, then serve tasks until sentinel.
@@ -147,6 +188,7 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
                        traceback.format_exc(limit=16)))
         return
     result_w.send(("ready", worker_id, meta))
+    tags = {"worker": worker_id, "incarnation": incarnation}
     produced = 0
     tasks_seen = 0
     while True:
@@ -165,49 +207,21 @@ def _worker_main(path: str, worker_id: int, incarnation: int,
             if plan is not None:
                 plan.fire("task", worker=worker_id,
                           incarnation=incarnation, count=tasks_seen)
-            if kind == "chunks":
-                _, _, n, batch, seed, indices, traced = task
-                result_w.send(("claim", worker_id, req_id,
-                               list(indices)))
-                chunk_started = _obs_clock.perf()
-                for index, table in model.sample_chunks(
-                        n, batch=batch, seed=seed, indices=indices):
-                    if _is_cancelled(cancel_ring, req_id):
-                        result_w.send(("skip", worker_id, req_id))
-                        break
-                    if plan is not None:
-                        plan.fire("chunk", worker=worker_id,
-                                  incarnation=incarnation, index=index,
-                                  produced=produced)
-                    span = None
-                    if traced:
-                        # Plain dict, not a Span: the pipe carries data,
-                        # the parent stitches it into the request Trace.
-                        done = _obs_clock.perf()
-                        span = {"span_id": f"chunk-{index}",
-                                "name": "chunk", "start": chunk_started,
-                                "end": done,
-                                "tags": {"chunk": index,
-                                         "worker": worker_id,
-                                         "incarnation": incarnation}}
-                        chunk_started = done
-                    result_w.send(("chunk", worker_id, req_id, index,
-                                   table, span))
-                    produced += 1
-            elif kind == "database":
-                _, _, scale, sizes, batch, seed = task
-                result_w.send(("claim", worker_id, req_id, [0]))
-                database = model.sample(scale, sizes=sizes, batch=batch,
-                                        seed=seed)
+            claimed = list(task[5]) if kind == "chunks" else [0]
+            result_w.send(("claim", worker_id, req_id, claimed))
+            for index, payload, span in _task_results(model, task, tags):
+                if _is_cancelled(cancel_ring, req_id):
+                    result_w.send(("skip", worker_id, req_id))
+                    break
                 if plan is not None:
+                    # Fault plans address a whole database draw as -1.
                     plan.fire("chunk", worker=worker_id,
-                              incarnation=incarnation, index=-1,
+                              incarnation=incarnation,
+                              index=index if kind == "chunks" else -1,
                               produced=produced)
-                result_w.send(("chunk", worker_id, req_id, 0, database,
-                               None))
+                result_w.send(("chunk", worker_id, req_id, index,
+                               payload, span))
                 produced += 1
-            else:
-                raise ValueError(f"unknown task kind {kind!r}")
         except Exception as exc:
             result_w.send(("error", worker_id, req_id,
                            f"{type(exc).__name__}: {exc}"))
@@ -257,7 +271,7 @@ class _Pending:
 
     __slots__ = ("cond", "results", "expected", "error", "closed",
                  "kind", "spec", "dispatched", "delivered", "retries",
-                 "trace")
+                 "trace", "deadline")
 
     def __getstate__(self):
         raise TypeError(
@@ -265,11 +279,13 @@ class _Pending:
             "of an in-flight request; only payloads cross processes")
 
     def __init__(self, expected: int, kind: str = "chunks",
-                 spec: tuple = (), trace=None):
+                 spec: tuple = (), trace=None,
+                 deadline: Optional[float] = None):
         self.cond = make_condition("pool.result")
         self.results: Dict[int, object] = {}
         self.expected = expected
-        self.error: Optional[str] = None
+        self.error: Optional[ServingError] = None
+        self.deadline = deadline    # obs.clock monotonic, or None
         self.closed = False
         self.kind = kind            # "chunks" | "database"
         self.spec = spec            # params to rebuild a task for requeue
@@ -307,9 +323,9 @@ class _Pending:
         with self.cond:
             return sorted(self.dispatched - self.delivered)
 
-    def fail(self, message: str) -> None:
+    def fail(self, message: str, error=WorkerError) -> None:
         with self.cond:
-            self.error = message
+            self.error = error(message)
             self.cond.notify_all()
 
     def abandon(self) -> None:
@@ -321,7 +337,7 @@ class _Pending:
         with self.cond:
             while True:
                 if self.error is not None:
-                    raise WorkerError(self.error)
+                    raise self.error
                 if self.closed:
                     raise PoolClosed("worker pool closed mid-request")
                 if index in self.results:
@@ -349,18 +365,27 @@ class WorkerPool:
         Saved model directory (``Synthesizer.save`` or
         ``DatabaseSynthesizer.save`` layout).
     workers:
-        Worker process count.  ``0`` runs inline in the calling process
-        (no multiprocessing; identical output by the sharded-seed
-        contract) — useful for tests and single-core deployments.
+        Worker process count.  ``0`` runs every request in the calling
+        process (no multiprocessing; identical output by the
+        sharded-seed contract) — useful for tests and single-core
+        deployments.
     request_timeout:
         Default per-request deadline in seconds (overridable per call).
+    inline_model:
+        An already loaded model for in-process execution (e.g. a
+        ``ModelStore`` checkout, whose handle release rides
+        ``on_close``); by default the pool loads its own copy from
+        ``path`` the first time it executes in-process.
     respawn:
         Respawn dead workers in place (with exponential backoff).
         ``False`` restores crash-fail supervision: any worker death
         retires its slot.
     max_boot_failures:
         Consecutive boot failures (death before reporting ready) that
-        retire a slot instead of respawning again.
+        retire a slot instead of respawning again.  When every slot
+        is retired the pool is *crashed*: it drains its in-flight
+        requests in-process (bit-identical, slower), new requests raise
+        :class:`PoolClosed`, and the service layer replaces the pool.
     backoff:
         :class:`repro.serve.circuit.RespawnBackoff` schedule; default
         0.25s doubling to a 15s cap.
@@ -368,11 +393,6 @@ class WorkerPool:
         How many times one chunk may be requeued after worker deaths
         before its request fails with :class:`WorkerError` (poison-chunk
         isolation).
-    inline_fallback:
-        When every slot is retired, drain in-flight requests inline in
-        the parent (bit-identical, slower) instead of failing them.
-        Either way the pool is then *crashed*: new requests raise
-        :class:`PoolClosed` and the service layer replaces the pool.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry` for supervision
         counters (dispatches, chunk deliveries/retries, deaths,
@@ -397,7 +417,6 @@ class WorkerPool:
                  max_boot_failures: int = DEFAULT_MAX_BOOT_FAILURES,
                  backoff: Optional[RespawnBackoff] = None,
                  chunk_retry_budget: int = DEFAULT_CHUNK_RETRY_BUDGET,
-                 inline_fallback: bool = True,
                  metrics=None, event_ring: int = DEFAULT_EVENT_RING):
         workers = _count("workers", workers, minimum=0)
         event_ring = _count("event_ring", event_ring, minimum=1)
@@ -415,11 +434,12 @@ class WorkerPool:
         self.max_boot_failures = max_boot_failures
         self.backoff = RespawnBackoff() if backoff is None else backoff
         self.chunk_retry_budget = chunk_retry_budget
-        self.inline_fallback = inline_fallback
         self._on_close = on_close
         self._closed = False
         self._crashed = False
-        self._takeover = False
+        # Takeover: every dispatch runs in-process.  A pool without
+        # slots starts there; a process pool enters it on crashing.
+        self._takeover = workers == 0
         self._ids = itertools.count()
         self._lock = make_lock("pool.pending")
         self._pending: Dict[int, _Pending] = {}
@@ -427,7 +447,9 @@ class WorkerPool:
         self._backlog: List[Tuple[int, Tuple[int, ...]]] = []
         self._inflight = 0
         self._meta: Dict[str, object] = {}
-        self._inline_model = None
+        self._inline_lock = make_lock("pool.inline")
+        self._inline_model = inline_model
+        self._inline_ready = False
         self._slots: List[_WorkerSlot] = []
         self._chunk_retries = 0
         self._stale_dropped = 0
@@ -469,24 +491,19 @@ class WorkerPool:
                 "repro_pool_inflight",
                 "Requests executing or reserved against the pool.",
                 labelnames=("model",))
-        self._fallback_lock = make_lock("pool.fallback")
-        self._fallback_model = None
+        # Wake pipes, cancellation ring and supervision threads exist
+        # only with worker slots; teardown skips whatever is absent.
+        self._swake_r = self._swake_w = None
+        self._rwake_r = self._rwake_w = None
+        self._cancel_ring = None
+        self._boot_cond = make_condition("pool.boot")
         if workers == 0:
-            # Inline mode: use the caller-provided loaded model (e.g. a
-            # ModelStore checkout, whose handle release rides on_close)
-            # or load a private copy.
-            if inline_model is None:
-                inline_model = load_model(self.path)
-            self._inline_model = inline_model.spawn_sampler(0)
+            model = self._in_process_model()
             self._meta = {
-                "method": getattr(self._inline_model, "method", None),
-                "default_batch": getattr(self._inline_model,
-                                         "default_sample_batch", None)}
+                "method": getattr(model, "method", None),
+                "default_batch": getattr(model, "default_sample_batch",
+                                         None)}
             return
-        if inline_model is not None:
-            raise ServingError(
-                "inline_model is only meaningful with workers=0 "
-                "(worker processes load their own copies)")
         from ..nn import get_default_dtype
 
         ctx = _mp_context()
@@ -500,7 +517,6 @@ class WorkerPool:
         self._rwake_r, self._rwake_w = ctx.Pipe(duplex=False)
         self._boot_ready: Dict[int, dict] = {}
         self._boot_errors: List[str] = []
-        self._boot_cond = make_condition("pool.boot")
         self._booting = True
         for worker_id in range(workers):
             slot = _WorkerSlot(worker_id)
@@ -543,7 +559,7 @@ class WorkerPool:
             slot.dead = False
             slot.drained = False
             slot.ready = False
-        self._wake_receiver()
+        self._wake(self._rwake_w)
 
     def _await_boot(self, timeout: float) -> None:
         deadline = _obs_clock.monotonic() + timeout
@@ -568,17 +584,15 @@ class WorkerPool:
             f"only {ready}/{self.workers} workers came up within "
             f"{timeout:.0f}s")
 
-    def _wake_supervisor(self) -> None:
+    @staticmethod
+    def _wake(conn) -> None:
+        """Nudge an event loop through its wake pipe (if it has one)."""
+        if conn is None:
+            return
         try:
-            self._swake_w.send_bytes(b"w")
+            conn.send_bytes(b"w")
         except (OSError, ValueError):
-            pass  # repro-check: disable=RC006 -- teardown race; supervisor exits via _closed
-
-    def _wake_receiver(self) -> None:
-        try:
-            self._rwake_w.send_bytes(b"w")
-        except (OSError, ValueError):
-            pass  # repro-check: disable=RC006 -- teardown race; receiver exits via _closed
+            pass  # repro-check: disable=RC006 -- teardown race; the loop exits via _closed
 
     def _record_event(self, what: str, **fields) -> None:
         # Both stamps come from obs.clock: "at" (monotonic) orders
@@ -606,11 +620,10 @@ class WorkerPool:
         incarnation's result pipe (so already-produced chunks are not
         re-executed), requeue its claimed-but-undelivered chunks,
         schedule a respawn with exponential backoff — or retire the
-        slot — and, if every slot is retired, either drain in-flight
-        requests inline (``inline_fallback``) or fail them; either way
-        the pool is then *crashed* and rejects new work.  A worker that
-        dies during initial boot fails startup fast instead (no
-        respawn), matching load-error behaviour.
+        slot — and, if every slot is retired, mark the pool *crashed*
+        (it rejects new work) and drain in-flight requests in-process.
+        A worker that dies during initial boot fails startup fast
+        instead (no respawn), matching load-error behaviour.
         """
         while True:
             with self._lock:
@@ -659,7 +672,7 @@ class WorkerPool:
             # Let the receiver drain whatever the dead worker already
             # sent: chunks in the pipe buffer count as delivered, not
             # as work to redo.
-            self._wake_receiver()
+            self._wake(self._rwake_w)
             if self._booting and not slot.ready:
                 # Fail startup fast: a worker that dies mid-load never
                 # reports, so wake _await_boot instead of timing out.
@@ -786,8 +799,7 @@ class WorkerPool:
             with self._lock:
                 if not self._backlog:
                     return
-                if (self._pick_slot_locked() is None
-                        and not self._takeover):
+                if self._pick_slot_locked() is None:
                     return
                 req_id, indices = self._backlog.pop(0)
                 pending = self._pending.get(req_id)
@@ -803,79 +815,77 @@ class WorkerPool:
             if not all(slot.retired for slot in self._slots):
                 return
             self._crashed = True
-            self._takeover = self.inline_fallback
+            self._takeover = True
             self._backlog.clear()  # covered by the undelivered drain
             pendings = dict(self._pending)
-        self._record_event("crashed",
-                           inline_fallback=self.inline_fallback)
-        if not self.inline_fallback:
-            for request in pendings.values():
-                request.fail("all worker slots retired and inline "
-                             "fallback is disabled")
-            return
+        self._record_event("crashed")
         # Last-resort drain: finish everything already dispatched but
-        # undelivered, inline in the parent.  Undispatched chunks of
-        # windowed streams are routed inline by _dispatch from here on.
+        # undelivered in-process.  Undispatched chunks of windowed
+        # streams are routed in-process by _dispatch from here on.
         for req_id, pending in pendings.items():
             remaining = pending.undelivered()
-            if not remaining:
-                continue
-            self._run_inline_task(pending.task_for(req_id, remaining))
+            if remaining:
+                self._run_inline(pending,
+                                 pending.task_for(req_id, remaining))
 
-    def _fallback(self):
-        # Caller must hold _fallback_lock.  worker_id self.workers is
-        # outside the slot range; by the sharded-seed contract the
-        # sampler identity never affects chunk content.
-        if self._fallback_model is None:
-            self._fallback_model = load_model(
-                self.path).spawn_sampler(self.workers)
-        return self._fallback_model
-
-    def _run_inline_task(self, task: tuple) -> None:
-        """Execute one task in the parent, delivering to its pending.
-
-        Serialized on ``_fallback_lock`` (supervisor drain and caller
-        threads may race here after a takeover).
+    def _in_process_model(self):
+        """The caller's ``inline_model`` or ``load_model(path)``, loaded
+        once.  The lock guards only this load: requests then generate
+        concurrently.  Sampler id ``self.workers`` is outside the slot
+        range; by the sharded-seed contract it never changes a chunk.
         """
-        kind, req_id = task[0], task[1]
+        with self._inline_lock:
+            if not self._inline_ready:
+                if self._inline_model is None:
+                    self._inline_model = load_model(self.path)
+                self._inline_model.spawn_sampler(self.workers)
+                self._inline_ready = True
+        return self._inline_model
+
+    def _inline_wanted(self, req_id: int, pending: _Pending) -> bool:
+        """False once the pool closed or the request ended or was
+        cancelled; past its deadline the request also fails with
+        :class:`RequestTimeout`."""
         with self._lock:
-            pending = self._pending.get(req_id)
-            cancelled = req_id in self._cancelled
-            self._inline_recoveries += 1
-        if self._metrics is not None:
-            self._m_inline.inc(model=self._model_label)
-        if pending is None or cancelled:
+            live = (self._pending.get(req_id) is pending
+                    and req_id not in self._cancelled)
+        if live and pending.deadline is not None and \
+                _obs_clock.monotonic() > pending.deadline:
+            pending.fail(
+                f"request passed its deadline during in-process "
+                f"execution ({len(pending.delivered)}/{pending.expected} "
+                f"done)", error=RequestTimeout)
+            return False
+        return live
+
+    def _run_inline(self, pending: _Pending, task: tuple) -> None:
+        """The in-process executor: run one task on the calling thread.
+
+        Serves every task of a ``workers=0`` pool and, once a process
+        pool crashed, its takeover drain and later dispatches.  Checks
+        :meth:`_inline_wanted` before each delivery.  Only takeover
+        tasks that actually run count as inline recoveries.
+        """
+        req_id = task[1]
+        if not self._inline_wanted(req_id, pending):
             return
+        if self._crashed:
+            with self._lock:
+                self._inline_recoveries += 1
+            if self._metrics is not None:
+                self._m_inline.inc(model=self._model_label)
         try:
-            with self._fallback_lock:
-                model = self._fallback()
-                if kind == "chunks":
-                    _, _, n, batch, seed, indices, traced = task
-                    chunk_started = _obs_clock.perf()
-                    for index, chunk in model.sample_chunks(
-                            n, batch=batch, seed=seed, indices=indices):
-                        if self._closed:
-                            return
-                        if traced:
-                            done = _obs_clock.perf()
-                            pending.stitch(index, {
-                                "span_id": f"chunk-{index}",
-                                "name": "chunk", "start": chunk_started,
-                                "end": done,
-                                "tags": {"chunk": index,
-                                         "worker": "inline"}})
-                            chunk_started = done
-                        if self._metrics is not None:
-                            self._m_chunks.inc(model=self._model_label,
-                                               source="inline")
-                        pending.deliver(index, chunk)
-                else:
-                    _, _, scale, sizes, batch, seed = task
-                    database = model.sample(scale, sizes=sizes,
-                                            batch=batch, seed=seed)
-                    pending.deliver(0, database)
+            for index, payload, span in _task_results(
+                    self._in_process_model(), task, {"worker": "inline"}):
+                if not self._inline_wanted(req_id, pending):
+                    return
+                pending.stitch(index, span)
+                if self._metrics is not None:
+                    self._m_chunks.inc(model=self._model_label,
+                                       source="inline")
+                pending.deliver(index, payload)
         except Exception as exc:
-            pending.fail(f"inline recovery failed: "
+            pending.fail(f"in-process execution failed: "
                          f"{type(exc).__name__}: {exc}")
 
     def _cancel(self, req_id: int) -> None:
@@ -886,7 +896,7 @@ class WorkerPool:
         claim ledger and the backlog so the supervisor stops recovering
         it.
         """
-        ring = getattr(self, "_cancel_ring", None)
+        ring = self._cancel_ring
         if ring is not None:
             with ring.get_lock():
                 cursor = ring[0]
@@ -952,7 +962,7 @@ class WorkerPool:
                 reader.close()
             except OSError:
                 pass  # repro-check: disable=RC006 -- double-close on teardown is harmless
-            self._wake_supervisor()
+            self._wake(self._swake_w)
 
     def _handle_message(self, slot: _WorkerSlot, message: tuple) -> None:
         tag = message[0]
@@ -964,7 +974,7 @@ class WorkerPool:
             with self._boot_cond:
                 self._boot_ready[slot_id] = meta
                 self._boot_cond.notify_all()
-            self._wake_supervisor()  # flush any backlog onto this slot
+            self._wake(self._swake_w)  # flush any backlog onto this slot
         elif tag == "boot_error":
             _, slot_id, text = message
             self._record_event("boot_error", slot=slot_id)
@@ -1033,13 +1043,10 @@ class WorkerPool:
         if self._on_close is not None:
             callback, self._on_close = self._on_close, None
             callback()
-        if self._inline_model is not None:
-            self._inline_model = None
-            return
         with self._boot_cond:  # wake any thread still in _await_boot
             self._boot_cond.notify_all()
-        self._wake_supervisor()
-        self._wake_receiver()
+        self._wake(self._swake_w)
+        self._wake(self._rwake_w)
         for slot in self._slots:
             if slot.task_w is not None and not slot.dead:
                 try:
@@ -1176,6 +1183,7 @@ class WorkerPool:
     # Request plumbing
     # ------------------------------------------------------------------
     def _begin(self, expected: int, kind: str, spec: tuple,
+               deadline: Optional[float],
                trace=None) -> Tuple[int, _Pending]:
         with self._lock:
             if self._closed or self._crashed:
@@ -1183,7 +1191,8 @@ class WorkerPool:
                     f"pool for {self.path.name} is "
                     f"{'closed' if self._closed else 'crashed'}")
             req_id = next(self._ids)
-            pending = _Pending(expected, kind, spec, trace=trace)
+            pending = _Pending(expected, kind, spec, trace=trace,
+                               deadline=deadline)
             self._pending[req_id] = pending
             self._inflight += 1
             inflight = self._inflight
@@ -1201,7 +1210,7 @@ class WorkerPool:
         with pending.cond:
             unfinished = (pending.error is not None
                           or len(pending.delivered) < pending.expected)
-        if unfinished and self._slots:
+        if unfinished:
             # Abandoned mid-flight (error, timeout, dropped stream):
             # shed whatever is still queued for it.
             self._cancel(req_id)
@@ -1226,7 +1235,7 @@ class WorkerPool:
 
     def _dispatch(self, req_id: int, pending: _Pending,
                   indices: List[int]) -> None:
-        """Route chunk indices to a worker, the backlog, or inline."""
+        """Route chunk indices to a worker, the backlog, or in-process."""
         task = pending.task_for(req_id, indices)
         if self._metrics is not None:
             self._m_dispatch.inc(len(indices), model=self._model_label)
@@ -1246,7 +1255,7 @@ class WorkerPool:
                 conn = slot.task_w
                 target = "worker"
         if target == "inline":
-            self._run_inline_task(task)
+            self._run_inline(pending, task)
             return
         try:
             conn.send(task)
@@ -1318,42 +1327,15 @@ class WorkerPool:
         n = _count("n", n, minimum=1)
         batch, plan = self._table_plan(n, batch)
         seed = fresh_seed() if seed is None else seed
-        if self._inline_model is not None:
-            with self._lock:
-                if self._closed:
-                    raise PoolClosed(
-                        f"pool for {self.path.name} is closed")
-            return self._iter_inline(n, batch, seed, timeout, trace)
-        return self._stream_from_workers(n, batch, seed, plan, timeout,
-                                         windowed, trace)
+        return self._stream(n, batch, seed, plan, timeout, windowed,
+                            trace)
 
-    def _iter_inline(self, n, batch, seed, timeout,
-                     trace=None) -> Iterator[Table]:
-        # Best-effort deadline: generation runs on the caller's thread,
-        # so the check lands between chunks (a single chunk cannot be
-        # preempted) — but a runaway request still stops at a chunk
-        # boundary instead of never.
-        deadline = self._deadline(timeout)
-        chunk_started = _obs_clock.perf()
-        for index, chunk in self._inline_model.sample_chunks(
-                n, batch=batch, seed=seed):
-            if deadline is not None and _obs_clock.monotonic() > deadline:
-                raise RequestTimeout(
-                    "inline request passed its deadline mid-stream")
-            if trace is not None:
-                done = _obs_clock.perf()
-                trace.add({"span_id": f"chunk-{index}", "name": "chunk",
-                           "start": chunk_started, "end": done,
-                           "tags": {"chunk": index, "worker": "inline"}})
-                chunk_started = done
-            yield chunk
-
-    def _stream_from_workers(self, n, batch, seed, plan, timeout,
-                             windowed: bool,
-                             trace=None) -> Iterator[Table]:
+    def _stream(self, n, batch, seed, plan, timeout, windowed: bool,
+                trace=None) -> Iterator[Table]:
         deadline = self._deadline(timeout)
         req_id, pending = self._begin(expected=len(plan), kind="chunks",
-                                      spec=(n, batch, seed), trace=trace)
+                                      spec=(n, batch, seed),
+                                      deadline=deadline, trace=trace)
         try:
             if not windowed:
                 # Bulk consumption (sample()): strided index sets —
@@ -1374,7 +1356,9 @@ class WorkerPool:
             # Streaming: one task per chunk, dispatched a bounded
             # window ahead of the consumer, so parent-side buffering
             # never exceeds ~window chunks however slow the reader is.
-            window = max(2 * self.workers, 4)
+            # Without slots a dispatch generates its chunk on the spot,
+            # so a window of 1 keeps at most one chunk ahead.
+            window = max(2 * self.workers, 4) if self.workers else 1
             submitted = min(window, len(plan))
             for index in range(submitted):
                 self._dispatch(req_id, pending, [plan[index][0]])
@@ -1402,12 +1386,10 @@ class WorkerPool:
                 f"model {self.path.name!r} is a single table; use "
                 "sample()")
         seed = fresh_seed() if seed is None else seed
-        if self._inline_model is not None:
-            return self._inline_model.sample(scale, sizes=sizes,
-                                             batch=batch, seed=seed)
         deadline = self._deadline(timeout)
         req_id, pending = self._begin(expected=1, kind="database",
-                                      spec=(scale, sizes, batch, seed))
+                                      spec=(scale, sizes, batch, seed),
+                                      deadline=deadline)
         try:
             self._dispatch(req_id, pending, [0])
             return pending.wait_index(0, deadline)

@@ -25,6 +25,12 @@ which requests fail fast with :class:`CircuitOpen` (HTTP 503 +
 the worker pool heals.  A half-open probe after the reset timeout
 boots a fresh pool; success closes the circuit and retires the
 degraded fallback.
+
+In-process serving: a ``workers=0`` service and the degraded fallback
+build the same pool (:meth:`SynthesisService._inline_pool`): a
+``workers=0`` :class:`WorkerPool` over the store's cached model, whose
+requests run on the pool's one in-process executor — the routine a
+process pool also uses to drain its work after every worker retired.
 """
 
 from __future__ import annotations
@@ -76,8 +82,8 @@ class SynthesisService:
     root:
         Model-store root (one saved model per subdirectory).
     workers:
-        Worker processes per model pool (``0`` = inline, no
-        multiprocessing).
+        Worker processes per model pool (``0`` = no worker processes:
+        requests run on each pool's in-process executor).
     pool_capacity:
         How many models may have live worker pools at once; the LRU
         idle pool is shut down when a new model needs one.
@@ -120,8 +126,8 @@ class SynthesisService:
         if degraded not in ("reject", "inline"):
             raise ValueError(
                 f"degraded must be 'reject' or 'inline', got {degraded!r}")
-        # The store's LRU cache backs inline (workers=0) pools, which
-        # borrow their loaded model through a refcounted checkout;
+        # The store's LRU cache backs in-process (workers=0) pools,
+        # which borrow their loaded model through a refcounted checkout;
         # worker-process pools load their own copies and only use the
         # store for name resolution and metadata.
         self.store = ModelStore(root, capacity=store_capacity)
@@ -177,19 +183,28 @@ class SynthesisService:
     # ------------------------------------------------------------------
     def _make_pool(self, name: str, path) -> WorkerPool:
         if self.workers == 0:
-            handle = self.store.checkout(name)
-            try:
-                return WorkerPool(path, workers=0,
-                                  request_timeout=self.request_timeout,
-                                  inline_model=handle.model,
-                                  on_close=handle.release,
-                                  metrics=self.metrics)
-            except Exception:
-                handle.release()
-                raise
+            return self._inline_pool(name, path)
         return WorkerPool(path, workers=self.workers,
                           request_timeout=self.request_timeout,
                           metrics=self.metrics)
+
+    def _inline_pool(self, name: str, path) -> WorkerPool:
+        """An in-process (``workers=0``) pool over the store's model.
+
+        The pool borrows the model through the store's refcounted
+        checkout and releases it on close.  Serves both ``workers=0``
+        services and the degraded fallback of an open circuit.
+        """
+        handle = self.store.checkout(name)
+        try:
+            return WorkerPool(path, workers=0,
+                              request_timeout=self.request_timeout,
+                              inline_model=handle.model,
+                              on_close=handle.release,
+                              metrics=self.metrics)
+        except BaseException:
+            handle.release()
+            raise
 
     def _pool(self, name: str) -> WorkerPool:
         """The (possibly new) pool for ``name``; LRU-evicts idle pools.
@@ -213,7 +228,7 @@ class SynthesisService:
                 or (entry.error is None and not entry.pool.closed))
             if crashed:
                 # Every worker slot retired (crash loop, repeated
-                # OOM...): drain any inline-fallback stragglers and
+                # OOM...): drain any in-process takeover stragglers and
                 # boot a replacement; the breaker counts the crash so
                 # a crash-looping model opens its circuit.
                 self._draining.append(entry)
@@ -240,43 +255,56 @@ class SynthesisService:
             breaker = self._breaker(name)
             breaker.record_failure()
             self._note_circuit(name, breaker)
+        pool = self._boot_entry(self._pools, name, entry, is_loader,
+                                lambda: self._make_pool(name, path))
         if is_loader:
-            try:
-                pool = self._make_pool(name, path)
-            except BaseException as exc:
-                with self._pools_lock:
-                    entry.error = exc
-                    if self._pools.get(name) is entry:
-                        del self._pools[name]
-                entry.ready.set()
-                raise
             with self._pools_lock:
-                if self._closed:
-                    # The service shut down while this pool booted; it
-                    # was never registered, so close it here.
-                    entry.error = ServingError("service is closed")
-                    self._pools.pop(name, None)
-                    surplus = []
-                else:
-                    entry.pool = pool
-                    surplus = self._pop_surplus_locked(keep=name)
-            if entry.error is not None:
-                pool.close()
-                entry.ready.set()
-                raise entry.error
-            entry.ready.set()
+                surplus = self._pop_surplus_locked(keep=name)
             # Closing a pool joins worker processes (seconds): do it
             # after the registry lock is released, for the same reason
             # pool *boot* happens outside it.
             for other in surplus:
                 other.close()
-            return pool
-        entry.ready.wait()
+        return pool
+
+    def _boot_entry(self, registry, name: str, entry: _PoolEntry,
+                    is_loader: bool, make) -> WorkerPool:
+        """Boot ``entry``'s pool with ``make()``, or wait for the
+        thread that does.
+
+        Runs outside the registry lock.  A failed boot records its
+        error and leaves ``registry``; a pool that finished booting
+        after the service closed was never registered and is closed
+        here.
+        """
+        if not is_loader:
+            entry.ready.wait()
+            if entry.error is not None:
+                raise ServingError(
+                    f"starting the pool for {name!r} failed: "
+                    f"{entry.error}") from entry.error
+            return entry.pool
+        try:
+            pool = make()
+        except BaseException as exc:
+            with self._pools_lock:
+                entry.error = exc
+                if registry.get(name) is entry:
+                    del registry[name]
+            entry.ready.set()
+            raise
+        with self._pools_lock:
+            if self._closed:
+                entry.error = ServingError("service is closed")
+                registry.pop(name, None)
+            else:
+                entry.pool = pool
         if entry.error is not None:
-            raise ServingError(
-                f"starting the pool for {name!r} failed: "
-                f"{entry.error}") from entry.error
-        return entry.pool
+            pool.close()
+            entry.ready.set()
+            raise entry.error
+        entry.ready.set()
+        return pool
 
     #: Circuit states as gauge values (alert on > 0).
     _CIRCUIT_LEVELS = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
@@ -338,12 +366,12 @@ class SynthesisService:
             "raise pool_capacity or reduce the number of hot models")
 
     def _degraded_pool(self, name: str) -> WorkerPool:
-        """The inline (``workers=0``) fallback pool for an open circuit.
+        """The in-process fallback pool for an open circuit.
 
-        Loads the model in-process through the store's refcounted
-        checkout; output is bit-identical to the worker pool's by the
-        sharded-seed contract, just slower.  Closed via the draining
-        list once the circuit closes (:meth:`_retire_degraded`).
+        Built by :meth:`_inline_pool`; output is bit-identical to the
+        worker pool's by the sharded-seed contract, just slower.  Closed
+        via the draining list once the circuit closes
+        (:meth:`_retire_degraded`).
         """
         path = self.store.path(name)
         with self._pools_lock:
@@ -363,43 +391,9 @@ class SynthesisService:
                 entry = _PoolEntry(path)
                 self._degraded_pools[name] = entry
                 is_loader = True
-        if not is_loader:
-            entry.ready.wait()
-            if entry.error is not None:
-                raise ServingError(
-                    f"degraded pool for {name!r} failed: "
-                    f"{entry.error}") from entry.error
-            return entry.pool
-        try:
-            handle = self.store.checkout(name)
-            try:
-                pool = WorkerPool(path, workers=0,
-                                  request_timeout=self.request_timeout,
-                                  inline_model=handle.model,
-                                  on_close=handle.release,
-                                  metrics=self.metrics)
-            except BaseException:
-                handle.release()
-                raise
-        except BaseException as exc:
-            with self._pools_lock:
-                entry.error = exc
-                if self._degraded_pools.get(name) is entry:
-                    del self._degraded_pools[name]
-            entry.ready.set()
-            raise
-        with self._pools_lock:
-            if self._closed:
-                entry.error = ServingError("service is closed")
-                self._degraded_pools.pop(name, None)
-            else:
-                entry.pool = pool
-        if entry.error is not None:
-            pool.close()
-            entry.ready.set()
-            raise entry.error
-        entry.ready.set()
-        return pool
+        return self._boot_entry(self._degraded_pools, name, entry,
+                                is_loader,
+                                lambda: self._inline_pool(name, path))
 
     def _retire_degraded(self, name: str) -> None:
         """Drop the degraded fallback once the worker pool is healthy."""

@@ -38,6 +38,8 @@ def set_plan(monkeypatch, *rules, seed=0):
 
 KILL_AFTER_2 = {"on": "chunk", "worker": 0, "after": 2, "action": "kill",
                 "incarnations": [0], "times": 1}
+KILL_DATABASE = {"on": "chunk", "chunk_index": -1, "action": "kill",
+                 "incarnations": [0], "times": 1}
 
 
 class TestPlanParsing:
@@ -121,9 +123,7 @@ class TestKillMidRequest:
         """A whole-database draw (chunk index -1) is requeued whole."""
         path = model_root / "shop-db"
         reference = load_model(path).sample(1.0, seed=7)
-        set_plan(monkeypatch, {"on": "chunk", "chunk_index": -1,
-                               "action": "kill", "incarnations": [0],
-                               "times": 1})
+        set_plan(monkeypatch, KILL_DATABASE)
         with WorkerPool(path, workers=1, request_timeout=60.0) as pool:
             served = pool.sample_database(1.0, seed=7)
             assert set(served.table_names) == set(reference.table_names)
@@ -182,22 +182,25 @@ class TestTracedKill:
 
     def test_trace_spans_survive_inline_drain(self, model_root,
                                               monkeypatch):
-        """When the last slot retires and the parent drains inline, the
-        inline chunks still land in the trace (tagged as inline)."""
+        """When the last slot retires and the parent drains in-process,
+        the drained chunks still land in the trace (tagged as inline)."""
         from repro.obs.trace import Trace
 
         path = model_root / "adult-pb"
         set_plan(monkeypatch, KILL_AFTER_2)
         trace = Trace("inline")
         pool = WorkerPool(path, workers=1, request_timeout=60.0,
-                          respawn=False, inline_fallback=True)
+                          respawn=False)
         try:
             pool.sample(96, batch=8, seed=5, trace=trace)
-            assert pool.status()["inline_recoveries"] >= 1
+            # One drain task ran; nothing else counts as a recovery.
+            assert pool.status()["inline_recoveries"] == 1
         finally:
             pool.close()
         coverage = trace.chunk_coverage()
         assert set(coverage) == set(range(12))
+        assert any(span.tags.get("worker") == "inline"
+                   for span in trace.spans())
 
 
 class TestPoisonChunk:
@@ -256,23 +259,56 @@ class TestStaleWorkShedding:
 
 
 class TestInlineTakeover:
+    @pytest.mark.parametrize("call", ("sample", "sample_iter",
+                                      "sample_database"))
     def test_all_slots_retired_drains_inline_bit_identically(
-            self, model_root, monkeypatch):
-        """respawn=False + inline_fallback: a mid-request kill retires
-        the only slot, the parent finishes the request inline with the
-        same bytes, and the crashed pool rejects new work."""
-        path = model_root / "adult-pb"
-        reference = load_model(path).sample(96, batch=8, seed=5)
-        set_plan(monkeypatch, KILL_AFTER_2)
+            self, model_root, monkeypatch, call):
+        """respawn=False: a mid-request kill retires the only slot, the
+        parent finishes the request in-process with the same bytes,
+        counts only the takeover tasks that ran, and the crashed pool
+        rejects new work."""
+        from repro.obs.trace import Trace
+
+        database = call == "sample_database"
+        path = model_root / ("shop-db" if database else "adult-pb")
+        plain = load_model(path)
+        set_plan(monkeypatch, KILL_DATABASE if database else KILL_AFTER_2)
+        trace = Trace(call)
         pool = WorkerPool(path, workers=1, request_timeout=60.0,
-                          respawn=False, inline_fallback=True)
+                          respawn=False)
         try:
-            assert_tables_equal(pool.sample(96, batch=8, seed=5),
-                                reference)
+            if database:
+                served = pool.sample_database(1.0, seed=7)
+                reference = plain.sample(1.0, seed=7)
+                for name in reference.table_names:
+                    assert_tables_equal(served[name], reference[name])
+            elif call == "sample":
+                assert_tables_equal(
+                    pool.sample(96, batch=8, seed=5, trace=trace),
+                    plain.sample(96, batch=8, seed=5))
+            else:
+                chunks = list(pool.sample_iter(96, batch=8, seed=5,
+                                               trace=trace))
+                out = chunks[0]
+                for chunk in chunks[1:]:
+                    out = out.concat_rows(chunk)
+                assert_tables_equal(out, plain.sample(96, batch=8, seed=5))
             assert pool.crashed
-            assert pool.status()["inline_recoveries"] >= 1
+            recoveries = pool.status()["inline_recoveries"]
+            if call == "sample_iter":
+                # The drain is one task; each window slot dispatched
+                # after the crash is one more, and every counted task
+                # delivered at least one chunk.
+                inline_spans = sum(1 for span in trace.spans()
+                                   if span.tags.get("worker") == "inline")
+                assert 1 <= recoveries <= inline_spans
+            else:
+                assert recoveries == 1
             with pytest.raises(PoolClosed):
-                pool.sample(10, seed=1)
+                if database:
+                    pool.sample_database(1.0, seed=1)
+                else:
+                    pool.sample(10, seed=1)
         finally:
             pool.close()
 
@@ -444,7 +480,7 @@ class TestServiceCircuit:
             assert_tables_equal(table, reference)  # inline drain
             health = service.healthz()
             assert health["pools"]["adult-pb"]["crashed"] is True
-            assert health["pools"]["adult-pb"]["inline_recoveries"] >= 1
+            assert health["pools"]["adult-pb"]["inline_recoveries"] == 1
             # Next request detects the crash, retires the pool, and
             # boots a replacement whose workers survive (plans are
             # re-armed per process, so the fault env must be cleared).

@@ -6,12 +6,27 @@ produces identical tables — for every method family and for a
 relational database.
 """
 
+import contextlib
+import json
+import threading
+
 import numpy as np
 import pytest
 
-from repro.serve import ServingError, WorkerError, WorkerPool, load_model
+from repro.obs.clock import ManualClock, use_clock
+from repro.obs.trace import Trace
+from repro.serve import (
+    CircuitBreaker, PoolClosed, RequestTimeout, ServingError,
+    SynthesisService, WorkerError, WorkerPool, load_model,
+)
 
 TABLE_MODELS = ("adult-gan", "adult-vae", "adult-pb")
+#: Kill worker 0's first incarnation once it has produced two chunks.
+KILL_AFTER_2 = {"on": "chunk", "worker": 0, "after": 2, "action": "kill",
+                "incarnations": [0], "times": 1}
+#: Kill worker 0's first incarnation right after a whole database draw.
+KILL_DATABASE = {"on": "chunk", "chunk_index": -1, "action": "kill",
+                 "incarnations": [0], "times": 1}
 
 
 def assert_tables_equal(a, b):
@@ -36,11 +51,79 @@ def test_worker_counts_bit_identical(model_root, model):
             assert_tables_equal(pool.sample(90, batch=16, seed=5), plain)
 
 
-def test_inline_pool_bit_identical(model_root):
-    path = model_root / "adult-pb"
-    plain = load_model(path).sample(70, batch=32, seed=8)
-    with WorkerPool(path, workers=0) as pool:
-        assert_tables_equal(pool.sample(70, batch=32, seed=8), plain)
+def set_faults(monkeypatch, *rules):
+    monkeypatch.setenv("REPRO_FAULTS", json.dumps({"rules": list(rules)}))
+
+
+@contextlib.contextmanager
+def in_process_pool(route, model_root, name, monkeypatch):
+    """A pool whose requests run in-process by ``route``.
+
+    ``workers0``: a pool without worker processes.  ``takeover``: the
+    only worker dies mid-request and is never respawned, so the crashed
+    pool drains in-process.  ``degraded``: the pool a service with an
+    open circuit serves through ``degraded="inline"``.
+    """
+    path = model_root / name
+    if route == "workers0":
+        with WorkerPool(path, workers=0) as pool:
+            yield pool
+    elif route == "takeover":
+        set_faults(monkeypatch,
+                   KILL_DATABASE if name == "shop-db" else KILL_AFTER_2)
+        with WorkerPool(path, workers=1, request_timeout=60.0,
+                        respawn=False) as pool:
+            yield pool
+    else:
+        def open_circuit():
+            breaker = CircuitBreaker(failure_threshold=1,
+                                     clock=lambda: 0.0)
+            breaker.record_failure()
+            return breaker
+
+        with SynthesisService(model_root, workers=1, degraded="inline",
+                              circuit_factory=open_circuit) as service:
+            pool = service._retained_pool(name)
+            try:
+                yield pool
+            finally:
+                pool.release()
+            assert service.healthz()["degraded"] == [name]
+
+
+@pytest.mark.parametrize("call", ("sample", "sample_iter",
+                                  "sample_database"))
+@pytest.mark.parametrize("route", ("workers0", "takeover", "degraded"))
+def test_inline_pool_bit_identical(model_root, monkeypatch, route, call):
+    """Every in-process route serves every call bit-identically, and a
+    traced table request covers every chunk."""
+    name = "shop-db" if call == "sample_database" else "adult-pb"
+    plain = load_model(model_root / name)
+    trace = Trace(route)
+    with in_process_pool(route, model_root, name, monkeypatch) as pool:
+        if call == "sample_database":
+            assert_databases_equal(pool.sample_database(1.0, seed=7),
+                                   plain.sample(1.0, seed=7))
+        else:
+            if call == "sample":
+                out = pool.sample(96, batch=8, seed=5, trace=trace)
+            else:
+                chunks = list(pool.sample_iter(96, batch=8, seed=5,
+                                               trace=trace))
+                out = chunks[0]
+                for chunk in chunks[1:]:
+                    out = out.concat_rows(chunk)
+            assert_tables_equal(out, plain.sample(96, batch=8, seed=5))
+            assert set(trace.chunk_coverage()) == set(range(12))
+            assert any(span.tags.get("worker") == "inline"
+                       for span in trace.spans())
+        status = pool.status()
+        # Only a crashed process pool's takeover counts as a recovery.
+        assert pool.crashed == (route == "takeover")
+        if route == "takeover":
+            assert status["inline_recoveries"] >= 1
+        else:
+            assert status["inline_recoveries"] == 0
 
 
 def test_default_batch_matches_local_default(model_root):
@@ -100,6 +183,21 @@ def test_streaming_flow_control_bounds_buffering(model_root):
         assert_tables_equal(out, plain)
 
 
+def test_inline_stream_stays_one_chunk_ahead(model_root):
+    """Without worker processes a stream generates at most one chunk
+    ahead of its consumer (the clock counts generated chunks)."""
+    path = model_root / "adult-pb"
+    with use_clock(ManualClock()) as clock:
+        model = ClockedModel(load_model(path), clock, seconds=1.0)
+        with WorkerPool(path, workers=0, inline_model=model,
+                        request_timeout=None) as pool:
+            stream = pool.sample_iter(160, batch=8, seed=2)  # 20 chunks
+            for consumed in range(1, 21):
+                next(stream)
+                assert clock.monotonic() <= consumed + 1
+            assert clock.monotonic() == 20
+
+
 def test_concurrent_requests_one_pool(model_root):
     """Several threads hammering one pool each get their exact table."""
     import threading
@@ -120,6 +218,51 @@ def test_concurrent_requests_one_pool(model_root):
             thread.join()
     for seed, table in expected.items():
         assert_tables_equal(results[seed], table)
+
+
+def test_concurrent_in_process_requests(model_root):
+    """Eight threads (more than cores) share one workers=0 pool under a
+    short switch interval: every table and stream is exact, and the
+    pool's request bookkeeping and chunk counter lose no update."""
+    import sys
+
+    from repro.obs.metrics import MetricsRegistry
+
+    path = model_root / "adult-pb"
+    seeds = range(8)
+    expected = {seed: load_model(path).sample(40, batch=8, seed=seed)
+                for seed in seeds}
+    results = {}
+    registry = MetricsRegistry()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with WorkerPool(path, workers=0, metrics=registry) as pool:
+            def run(seed):
+                if seed % 2:
+                    results[seed] = pool.sample(40, batch=8, seed=seed)
+                else:
+                    chunks = list(pool.sample_iter(40, batch=8, seed=seed))
+                    out = chunks[0]
+                    for chunk in chunks[1:]:
+                        out = out.concat_rows(chunk)
+                    results[seed] = out
+
+            threads = [threading.Thread(target=run, args=(seed,))
+                       for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+            assert pool.inflight == 0 and not pool._pending
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, table in expected.items():
+        assert_tables_equal(results[seed], table)
+    chunks = registry.counter("repro_pool_chunks_total", "",
+                              labelnames=("model", "source"))
+    assert chunks.value(model="adult-pb", source="inline") == 8 * 5
 
 
 class TestValidationAndErrors:
@@ -183,25 +326,25 @@ class TestValidationAndErrors:
         finally:
             pool.close()
 
-    def test_worker_death_without_respawn_crashes_fast(self, model_root):
-        """With respawn and inline fallback disabled, supervision is
-        crash-fail: a killed worker fails requests promptly (not at the
-        request timeout) and marks the pool crashed."""
+    def test_worker_death_without_respawn_crashes_fast(self, model_root,
+                                                       monkeypatch):
+        """With respawn disabled, a worker killed mid-request retires
+        its slot: the crashed pool finishes the in-flight request
+        in-process, promptly (not at the request timeout) and
+        bit-identically, then rejects new requests."""
         import time as _time
 
-        pool = WorkerPool(model_root / "adult-pb", workers=1,
-                          request_timeout=60.0, respawn=False,
-                          inline_fallback=False)
+        path = model_root / "adult-pb"
+        reference = load_model(path).sample(96, batch=8, seed=5)
+        set_faults(monkeypatch, KILL_AFTER_2)
+        pool = WorkerPool(path, workers=1, request_timeout=60.0,
+                          respawn=False)
         try:
-            for process in pool._processes:
-                process.terminate()
             start = _time.monotonic()
-            with pytest.raises(ServingError):
-                pool.sample(50, batch=8, seed=1)
+            assert_tables_equal(pool.sample(96, batch=8, seed=5),
+                                reference)
             assert _time.monotonic() - start < 10.0
             assert pool.crashed
-            from repro.serve import PoolClosed
-
             with pytest.raises(PoolClosed):
                 pool.sample(10, seed=1)
         finally:
@@ -210,18 +353,82 @@ class TestValidationAndErrors:
     def test_closed_pool_rejects(self, model_root):
         pool = WorkerPool(model_root / "adult-pb", workers=1)
         pool.close()
-        from repro.serve import PoolClosed
-
         with pytest.raises(PoolClosed):
             pool.sample(10, seed=1)
+
+
+class ClockedModel:
+    """A loaded model whose every generated chunk advances a ManualClock;
+    ``finished`` is set whenever one of its chunk streams ends."""
+
+    def __init__(self, model, clock, seconds):
+        self.model, self.clock, self.seconds = model, clock, seconds
+        self.method = model.method
+        self.default_sample_batch = model.default_sample_batch
+        self.finished = threading.Event()
+
+    def spawn_sampler(self, worker_id):
+        self.model.spawn_sampler(worker_id)
+        return self
+
+    def sample_chunks(self, *args, **kwargs):
+        try:
+            for item in self.model.sample_chunks(*args, **kwargs):
+                self.clock.advance(self.seconds)
+                yield item
+        finally:
+            self.finished.set()
+
+
+class TestInProcessDeadline:
+    """In-process execution fails a request past its deadline at a
+    chunk boundary, on a workers=0 pool and in a takeover drain."""
+
+    def test_workers0_request_times_out_between_chunks(self, model_root):
+        path = model_root / "adult-pb"
+        with use_clock(ManualClock()) as clock:
+            model = ClockedModel(load_model(path), clock, seconds=1.0)
+            with WorkerPool(path, workers=0, inline_model=model,
+                            request_timeout=2.5) as pool:
+                # 1 s per chunk: the third chunk lands past 2.5 s.
+                with pytest.raises(RequestTimeout):
+                    pool.sample(96, batch=8, seed=5)
+                with pytest.raises(RequestTimeout):
+                    list(pool.sample_iter(96, batch=8, seed=5))
+                assert_tables_equal(
+                    pool.sample(16, batch=8, seed=5),
+                    load_model(path).sample(16, batch=8, seed=5))
+                assert pool.status()["inline_recoveries"] == 0
+
+    def test_takeover_drain_times_out_between_chunks(self, model_root,
+                                                     monkeypatch):
+        """The only worker dies after one chunk of a 4-chunk stream and
+        the supervisor drains the rest in-process while the consumer
+        holds the stream.  The drain's first chunk passes the deadline,
+        so the consumer's next read fails instead of returning chunks
+        the drain delivered late."""
+        path = model_root / "adult-pb"
+        set_faults(monkeypatch, {"on": "chunk", "worker": 0, "after": 1,
+                                 "action": "kill", "incarnations": [0],
+                                 "times": 1})
+        with use_clock(ManualClock()) as clock:
+            model = ClockedModel(load_model(path), clock, seconds=60.0)
+            with WorkerPool(path, workers=1, inline_model=model,
+                            request_timeout=30.0, respawn=False) as pool:
+                stream = pool.sample_iter(32, batch=8, seed=5)
+                with pytest.raises(RequestTimeout):
+                    next(stream)
+                    assert model.finished.wait(timeout=60.0)
+                    list(stream)
+                assert pool.crashed
+                assert pool.status()["inline_recoveries"] == 1
 
 
 class TestEventRing:
     """Supervision event ring: configurable size, obs.clock stamps."""
 
     def test_ring_capacity_is_configurable(self, model_root):
-        pool = WorkerPool(model_root / "adult-pb", workers=0,
-                          inline_fallback=True, event_ring=4)
+        pool = WorkerPool(model_root / "adult-pb", workers=0, event_ring=4)
         try:
             for i in range(10):
                 pool._record_event("probe", index=i)
@@ -233,14 +440,10 @@ class TestEventRing:
 
     def test_ring_size_validated(self, model_root):
         with pytest.raises(ValueError, match="event_ring"):
-            WorkerPool(model_root / "adult-pb", workers=0,
-                       inline_fallback=True, event_ring=0)
+            WorkerPool(model_root / "adult-pb", workers=0, event_ring=0)
 
     def test_events_are_stamped_via_obs_clock(self, model_root):
-        from repro.obs.clock import ManualClock, use_clock
-
-        pool = WorkerPool(model_root / "adult-pb", workers=0,
-                          inline_fallback=True)
+        pool = WorkerPool(model_root / "adult-pb", workers=0)
         try:
             with use_clock(ManualClock(start=12.0, epoch=2_000.0)):
                 pool._record_event("probe")
