@@ -39,26 +39,6 @@ def post_error(server, path, body):
     raise AssertionError("expected an HTTP error")
 
 
-def test_accepted_sockets_disable_nagle(server, monkeypatch):
-    """Small responses must not wait on the client's delayed ACK: the
-    server sets TCP_NODELAY on every accepted connection."""
-    import socket
-
-    from repro.serve import http
-
-    seen = []
-    setup = http._Handler.setup
-
-    def recording_setup(self):
-        setup(self)
-        seen.append(self.connection.getsockopt(socket.IPPROTO_TCP,
-                                               socket.TCP_NODELAY))
-
-    monkeypatch.setattr(http._Handler, "setup", recording_setup)
-    assert get(server, "/healthz")[0] == 200
-    assert seen and all(seen)
-
-
 class TestInfoRoutes:
     def test_healthz(self, server):
         status, _, body = get(server, "/healthz")
