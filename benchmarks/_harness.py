@@ -19,9 +19,10 @@ Scale knobs (environment variables):
   fast-math training mode) is the default for the sweep benchmarks** —
   paper-shape conclusions were re-validated under it (see ROADMAP) and
   it roughly halves sweep wall-clock.  Pass ``--parity`` to pytest (or
-  set ``REPRO_BENCH_DTYPE=float64``) to run the bit-exact float64
-  parity mode instead, e.g. when validating a trajectory against the
-  historical engine.
+  set ``REPRO_BENCH_DTYPE=float64``) to run the float64 parity mode
+  instead, e.g. when validating a trajectory against the historical
+  engine (bit-exact outside the convolutions, which run the same GEMM
+  kernels in both dtypes).
 
 Every ``BENCH_<name>.json`` sidecar records the engine dtype active when
 it was written, so perf trajectories across PRs can distinguish parity

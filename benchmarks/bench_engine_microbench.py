@@ -4,7 +4,9 @@ Pins a small, deterministic training workload per generator architecture
 (MLP, LSTM, CNN) and times the engine's three hot phases plus a full
 trainer iteration, in both engine dtypes:
 
-* ``float64`` — the bit-exact parity mode (historical engine behaviour);
+* ``float64`` — the higher-precision deterministic mode (bit-exact with
+  the historical engine except the convolutions, which run the same
+  GEMM kernels as float32);
 * ``float32`` — the fast training mode (enables the fused/batched
   fast-math kernels).
 

@@ -15,6 +15,11 @@ what ``sample(n)`` executed before the CNN-fast-path/streaming PR.
 * ``prepr_float64`` rows/sec for the legacy-equivalent loop;
 * ``speedup_vs_prepr`` — the end-to-end acceptance number.
 
+The legacy loop runs today's kernels: for gan-cnn these are the GEMM
+conv kernels both dtypes share (the float64 einsum convs it once ran
+are gone), so its ``prepr_float64`` row and ``speedup_vs_prepr`` measure
+the chunking and inverse changes only, not the old conv cost.
+
 Scale knobs: ``REPRO_BENCH_SAMPLE_ROWS`` (default 100000) and
 ``REPRO_BENCH_RECORDS`` (training-table rows, default 1200).
 """

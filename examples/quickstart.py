@@ -18,23 +18,22 @@ construction, parent-context-conditioned child generation).
 
 Engine dtype: training runs on the library's own numpy autograd engine,
 which defaults to ``float64`` (bit-for-bit reproducible trajectories).
-For roughly 2x faster MLP/LSTM sweeps — and >10x on the CNN design
-point — switch to the float32 training mode before building any model::
+For roughly 2x faster sweeps switch to the float32 training mode
+before building any model::
 
     from repro import nn
     nn.set_default_dtype("float32")   # or: with nn.default_dtype(...)
 
 CNN fast path & sampling throughput
 -----------------------------------
-The convolution engine (``repro.nn.conv``) unfolds receptive fields
-with a strided view and runs each layer as one GEMM; in float32
-fast-math mode the whole conv + BatchNorm2d + activation chain executes
-as a single fused tape node (``conv2d_bn_act`` /
+The convolution engine (``repro.nn.conv``) runs every layer as BLAS
+GEMMs in both engine dtypes: convolutions unfold receptive fields with
+a strided view into one GEMM, transposed convolutions fold one GEMM per
+kernel tap, and the whole conv + BatchNorm2d + activation chain
+executes as a single fused tape node (``conv2d_bn_act`` /
 ``conv_transpose2d_bn_act``, wired through
-``Conv2d.forward(activation=..., bn=...)``), with unfold/grad scratch
-buffers recycled across train steps via ``repro.nn.ArrayPool``.  In
-float64 parity mode conv outputs stay bit-identical to the historical
-im2col engine.
+``Conv2d.forward(activation=..., bn=...)``), with unfold/fold scratch
+buffers recycled via ``repro.nn.ArrayPool``.
 
 Generation is streaming end to end: ``sample``/``sample_iter`` run the
 whole stream inside one sampling session (models flip to eval once, not

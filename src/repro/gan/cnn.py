@@ -51,8 +51,7 @@ class CNNGenerator(Module):
         h = self.project(z, activation="relu")
         h = h.reshape(batch, self.channels, self.start, self.start)
         # The activation/bn hooks fuse deconv + BN + nonlinearity into
-        # one tape node in fast-math mode; in float64 parity mode they
-        # compose the historical op chain bit-exactly.
+        # one tape node (the per-tap GEMM fold) in either engine dtype.
         h = self.deconv1(h, activation="relu", bn=self.bn1)
         return self.deconv2(h, activation="tanh")
 

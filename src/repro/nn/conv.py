@@ -5,29 +5,37 @@ generator is a stack of fractionally strided (de-)convolutions and the
 discriminator a stack of strided convolutions.  Layout convention is
 ``(batch, channels, height, width)``.
 
-CNN fast path
--------------
-Unfolding (im2col) is implemented with
-``np.lib.stride_tricks.sliding_window_view`` — a zero-copy strided view
-materialized with a single ``copyto`` — instead of per-tap python loops,
-and the unfolded layout feeds one large matrix product per layer.  Two
-numerics modes mirror the engine-wide convention (see
-:mod:`repro.nn.tensor`):
+One kernel set
+--------------
+Both engine dtypes run the same fused tape nodes,
+:func:`conv2d_bn_act` and :func:`conv_transpose2d_bn_act` (conv +
+analytic BatchNorm2d + activation in a single node, the conv analogue of
+:func:`repro.nn.layers.fused_linear`); the dtype is a parameter, not a
+fork.  Every contraction is a BLAS matrix product:
 
-* **float64 parity mode** — the unfolded columns keep the historical
-  ``(N, C*kh*kw, oh*ow)`` layout and the contraction runs through the
-  exact same ``einsum`` calls as the original im2col implementation, so
-  conv outputs are bit-identical to the pre-fast-path engine.
-* **float32 fast-math mode** — forward/backward use the GEMM-batched
-  ``(N*oh*ow, C*kh*kw)`` layout (one BLAS matmul each) and the fused
-  tape nodes :func:`conv2d_bn_act` / :func:`conv_transpose2d_bn_act`
-  (conv + analytic BatchNorm2d + activation in a single node, the conv
-  analogue of :func:`repro.nn.layers.fused_linear`).
+* **convolution** — the input is unfolded (im2col) into the GEMM-batched
+  ``(N*oh*ow, C*kh*kw)`` layout by one ``copyto`` from a
+  ``np.lib.stride_tricks.sliding_window_view`` strided view, and the
+  forward and both gradients are one matmul each;
+* **transposed convolution** — the forward is a per-tap GEMM fold over
+  the batch-innermost ``(C, h, w, N)`` input (:func:`_fold_taps`): one
+  ``(OC, C) @ (C, h*w*N)`` product per kernel tap, accumulated into the
+  cropped output without materialising the ``(N*h*w, OC*kh*kw)``
+  column matrix; the backward unfolds the output gradient once and
+  takes each gradient as one matmul.  Its output is an ``(N, C, H, W)``
+  view of batch-innermost memory, so a DCGAN generator re-lays its
+  input out once, at the first transposed conv.
 
-Column and padding scratch buffers are recycled across train steps via a
+float64 stays the higher-precision deterministic mode, but its conv
+outputs are no longer bit-identical to the historical einsum
+implementation: the GEMMs sum in a different order.
+
+Column, padding, re-layout and tap scratch buffers are recycled via a
 per-layer :class:`repro.nn.tensor.ArrayPool` (the tape-allocation-churn
 item): forward takes a buffer, the backward closure returns it once the
-gradients no longer alias it.
+gradients no longer alias it; scratch no backward reads (the fold's tap
+buffer) goes back before the forward returns, and on the no-grad path
+everything does.
 """
 
 from __future__ import annotations
@@ -40,10 +48,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import init
 from .layers import _act_backward, _act_forward, _bn_input_grad
 from .module import Module, Parameter
-from .tensor import (
-    ArrayPool, Tensor, _donate_mask, _donate_scratch, fast_math,
-    is_grad_enabled,
-)
+from .tensor import ArrayPool, Tensor, _donate_mask, _donate_scratch
 
 
 def _conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -96,40 +101,13 @@ def _window_view(xp: np.ndarray, kh: int, kw: int,
     return view
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
-            pool: Optional[ArrayPool] = None
-            ) -> Tuple[np.ndarray, int, int]:
-    """Unfold ``x`` into columns of receptive fields (parity layout).
-
-    Returns ``(cols, oh, ow)`` where ``cols`` has shape
-    ``(N, C*kh*kw, oh*ow)`` — bit-identical to the historical loop-based
-    implementation (:func:`_im2col_loop`), but produced by one strided
-    gather.
-    """
-    n, c, h, w = x.shape
-    oh = _conv_output_size(h, kh, stride, pad)
-    ow = _conv_output_size(w, kw, stride, pad)
-    _check_output_size(oh, ow, x.shape, kh, stride, pad)
-    xp = _pad_input(x, pad, pool)
-    view = _window_view(xp, kh, kw, stride)
-    cols = pool.take((n, c * kh * kw, oh * ow), x.dtype) \
-        if pool is not None else np.empty((n, c * kh * kw, oh * ow),
-                                          dtype=x.dtype)
-    np.copyto(cols.reshape(n, c, kh, kw, oh, ow),
-              view.transpose(0, 1, 4, 5, 2, 3))
-    if pool is not None and xp is not x:
-        pool.put(xp)
-    return cols, oh, ow
-
-
 def _im2col_gemm(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
                  pool: Optional[ArrayPool] = None
                  ) -> Tuple[np.ndarray, int, int]:
     """Unfold ``x`` into the GEMM-batched ``(N*oh*ow, C*kh*kw)`` layout.
 
-    This is the fast-math layout: the convolution forward becomes one
-    ``(N*oh*ow, C*kh*kw) @ (C*kh*kw, OC)`` BLAS call and the weight/input
-    gradients two more.
+    The convolution forward becomes one ``(N*oh*ow, C*kh*kw) @
+    (C*kh*kw, OC)`` BLAS call and the weight/input gradients two more.
     """
     n, c, h, w = x.shape
     oh = _conv_output_size(h, kh, stride, pad)
@@ -147,11 +125,13 @@ def _im2col_gemm(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
     return cols, oh, ow
 
 
-def _col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
-            kw: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: fold columns back, summing overlaps."""
+def _col2im_gemm(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
+                 kh: int, kw: int, stride: int, pad: int, oh: int,
+                 ow: int) -> np.ndarray:
+    """Adjoint of :func:`_im2col_gemm`: fold columns back, summing overlaps."""
     n, c, h, w = x_shape
-    cols = cols.reshape(n, c, kh, kw, oh, ow)
+    cols = np.ascontiguousarray(
+        cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2))
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     for i in range(kh):
         i_max = i + stride * oh
@@ -163,43 +143,11 @@ def _col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kh: int,
     return xp
 
 
-def _col2im_gemm(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
-                 kh: int, kw: int, stride: int, pad: int, oh: int,
-                 ow: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col_gemm` (fold from the GEMM layout)."""
-    n, c, h, w = x_shape
-    folded = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    return _col2im(np.ascontiguousarray(folded), x_shape, kh, kw, stride,
-                   pad, oh, ow)
-
-
-# Historical loop-based implementations, kept as the parity reference for
-# the strided-view unfold/fold (tests assert bit-identity in float64).
-def _im2col_loop(x: np.ndarray, kh: int, kw: int, stride: int,
-                 pad: int) -> Tuple[np.ndarray, int, int]:
-    n, c, h, w = x.shape
-    oh = _conv_output_size(h, kh, stride, pad)
-    ow = _conv_output_size(w, kw, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            cols[:, :, i, j, :, :] = xp[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
-
-
-def _to_channel_cols(x4d: np.ndarray,
-                     pool: Optional[ArrayPool] = None) -> np.ndarray:
+def _to_channel_cols(x4d: np.ndarray) -> np.ndarray:
     """Reorder ``(N, C, H, W)`` into the ``(N*H*W, C)`` GEMM layout."""
     n, c, h, w = x4d.shape
-    if pool is None:
-        return np.ascontiguousarray(x4d.transpose(0, 2, 3, 1)).reshape(
-            n * h * w, c)
-    out = pool.take((n * h * w, c), x4d.dtype)
-    np.copyto(out.reshape(n, h, w, c), x4d.transpose(0, 2, 3, 1))
-    return out
+    return np.ascontiguousarray(x4d.transpose(0, 2, 3, 1)).reshape(
+        n * h * w, c)
 
 
 def _from_channel_cols(x2d: np.ndarray, n: int, h: int, w: int
@@ -251,7 +199,10 @@ def _bn_forward_4d(bn: "BatchNorm2d", pre: np.ndarray):
     live in exactly one place.  Returns ``(out, normed, inv_std, inv_m,
     training)``; the eval branch casts the float64 running-stat buffers
     to the stream dtype and evaluates the exact elementwise expressions
-    of the composed op chain (bit-identical forward).
+    of the composed op chain (bit-identical forward).  The expressions
+    run in place where a temporary would die at once, and every output
+    keeps the memory order of ``pre`` (batch-innermost after a
+    transposed conv), so each pass runs over contiguous spans.
     """
     gamma = bn.gamma.data
     if bn.training and pre.shape[0] > 1:
@@ -265,13 +216,19 @@ def _bn_forward_4d(bn: "BatchNorm2d", pre: np.ndarray):
         bn.running_var = ((1 - bn.momentum) * bn.running_var
                           + bn.momentum * var)
         inv_std = 1.0 / np.sqrt(var + bn.eps)
-        normed = centered * inv_std
-        return normed * gamma + bn.beta.data, normed, inv_std, inv_m, True
+        normed = centered
+        normed *= inv_std
+        out = normed * gamma
+        out += bn.beta.data
+        return out, normed, inv_std, inv_m, True
     dtype = pre.dtype
     inv_std = np.asarray(1.0 / np.sqrt(bn.running_var + bn.eps),
                          dtype=dtype)
-    normed = (pre - np.asarray(bn.running_mean, dtype=dtype)) * inv_std
-    return normed * gamma + bn.beta.data, normed, inv_std, 0.0, False
+    normed = pre - np.asarray(bn.running_mean, dtype=dtype)
+    normed *= inv_std
+    out = normed * gamma
+    out += bn.beta.data
+    return out, normed, inv_std, 0.0, False
 
 
 def conv2d_bn_act(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -358,6 +315,131 @@ def conv2d_bn_act(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     return node
 
 
+def _tap_span(tap: int, in_size: int, out_size: int, stride: int,
+              pad: int) -> Tuple[int, int, int]:
+    """Input span of one kernel tap inside a cropped transposed conv.
+
+    Input position ``y`` of tap ``tap`` lands on output row
+    ``y*stride + tap - pad``.  Returns ``(lo, hi, first)``: the input
+    range ``[lo, hi)`` whose rows land inside ``[0, out_size)`` and the
+    output row of ``lo`` (``lo >= hi`` when the padding crops the whole
+    tap away).
+    """
+    lo = max(0, -((tap - pad) // stride))  # ceil((pad - tap) / stride)
+    hi = min(in_size, (out_size - 1 + pad - tap) // stride + 1)
+    return lo, hi, lo * stride + tap - pad
+
+
+#: Batch columns per block of the re-layout in :func:`_to_batch_inner`.
+_RELAYOUT_BLOCK = 64
+
+
+def _to_batch_inner(x4d: np.ndarray, pool: Optional[ArrayPool] = None
+                    ) -> Tuple[np.ndarray, bool]:
+    """Batch-innermost ``(C, H, W, N)`` layout of an ``(N, C, H, W)`` array.
+
+    Returns ``(array, copied)``.  An input that already is
+    batch-innermost in memory (the output of
+    :func:`conv_transpose2d_bn_act`) comes back as a free view
+    (``copied`` false); any other is copied into a buffer from ``pool``.
+    The copy is a transpose, done in blocks of 64 batch columns: one
+    whole-array ``copyto`` walks the source with a stride of a full row,
+    which thrashes the cache at large power-of-two batch sizes; blocks
+    run 3-4x faster at 2048 rows (float64, 2-vCPU x86 host).
+    """
+    view = x4d.transpose(1, 2, 3, 0)
+    if view.flags.c_contiguous:
+        return view, False
+    n, c, h, w = x4d.shape
+    out = pool.take((c, h, w, n), x4d.dtype) if pool is not None \
+        else np.empty((c, h, w, n), dtype=x4d.dtype)
+    dst, src = out.reshape(c * h * w, n), x4d.reshape(n, c * h * w)
+    for start in range(0, n, _RELAYOUT_BLOCK):
+        stop = start + _RELAYOUT_BLOCK
+        np.copyto(dst[:, start:stop], src[start:stop].T)
+    return out, True
+
+
+def _fold_taps(xr: np.ndarray, wtaps: np.ndarray, out_h: int, out_w: int,
+               stride: int, pad: int,
+               pool: Optional[ArrayPool] = None) -> np.ndarray:
+    """Transposed-convolution forward as per-tap GEMMs.
+
+    ``xr`` is the batch-innermost ``(C, h, w, N)`` input and ``wtaps``
+    the ``(C, kh, kw, OC)`` weight.  For each tap ``(i, j)`` the product
+    ``W[:, :, i, j]^T @ x`` lands in one reused ``(OC, h*w*N)`` block
+    and is added into the strided tap positions of an ``(OC, out_h,
+    out_w, N)`` accumulator, already cropped by ``pad``.  The batch axis
+    is innermost, so each strided add moves contiguous ``N``-element
+    spans.  Consecutive taps share one GEMM while their blocks together
+    stay no larger than the input (``C // OC`` taps; all 16 for the
+    single-channel output layer, which would otherwise re-read its input
+    once per tap), so the ``(N*h*w, OC*kh*kw)`` column matrix of the
+    one-GEMM formulation is never materialised.  The tap buffer is the
+    only scratch (from ``pool`` when given, and returned to it).
+    Returns the accumulator, a fresh array the caller keeps as the
+    output's storage.
+    """
+    c, h, w, n = xr.shape
+    _, kh, kw, oc = wtaps.shape
+    x2d = xr.reshape(c, h * w * n)
+    wflat = wtaps.reshape(c, kh * kw * oc)
+    acc = np.zeros((oc, out_h, out_w, n), dtype=xr.dtype)
+    group = max(1, min(kh * kw, c // oc))
+    shape = (group * oc, h * w * n)
+    buf = pool.take(shape, xr.dtype) if pool is not None \
+        else np.empty(shape, dtype=xr.dtype)
+    row_spans = [_tap_span(i, h, out_h, stride, pad) for i in range(kh)]
+    col_spans = [_tap_span(j, w, out_w, stride, pad) for j in range(kw)]
+    for first in range(0, kh * kw, group):
+        last = min(kh * kw, first + group)
+        block = buf[:(last - first) * oc]
+        np.matmul(wflat[:, first * oc:last * oc].T, x2d, out=block)
+        taps = block.reshape(last - first, oc, h, w, n)
+        for t in range(first, last):
+            (y0, y1, oy), (x0, x1, ox) = row_spans[t // kw], \
+                col_spans[t % kw]
+            if y0 < y1 and x0 < x1:
+                acc[:, oy:oy + (y1 - y0) * stride:stride,
+                    ox:ox + (x1 - x0) * stride:stride] += \
+                    taps[t - first, :, y0:y1, x0:x1]
+    if pool is not None:
+        pool.put(buf)
+    return acc
+
+
+def _unfold_taps(d4d: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+                 h: int, w: int,
+                 pool: Optional[ArrayPool] = None) -> np.ndarray:
+    """Adjoint gather of :func:`_fold_taps` for the backward pass.
+
+    Unfolds the ``(N, OC, out_h, out_w)`` output gradient into the
+    batch-innermost ``(kh*kw*OC, h*w*N)`` columns: row ``(i, j, o)``
+    holds, for every input position, the gradient at the output cell
+    tap ``(i, j)`` wrote to (zero where the padding cropped it).
+    """
+    n, oc, out_h, out_w = d4d.shape
+    full = (oc, out_h + 2 * pad, out_w + 2 * pad, n)
+    dp = pool.take(full, d4d.dtype) if pool is not None \
+        else np.empty(full, dtype=d4d.dtype)
+    if pad:
+        dp.fill(0.0)
+    np.copyto(dp[:, pad:pad + out_h, pad:pad + out_w],
+              d4d.transpose(1, 2, 3, 0))
+    window = (stride * (h - 1) + 1, stride * (w - 1) + 1)
+    # (OC, kh, kw, N, h, w) view: [o, i, j, b, y, x] = dp[o, i+y*s, j+x*s, b]
+    view = sliding_window_view(dp, window, axis=(1, 2))[
+        ..., ::stride, ::stride]
+    shape = (kh * kw * oc, h * w * n)
+    cols = pool.take(shape, d4d.dtype) if pool is not None \
+        else np.empty(shape, dtype=d4d.dtype)
+    np.copyto(cols.reshape(kh, kw, oc, h, w, n),
+              view.transpose(1, 2, 0, 4, 5, 3))
+    if pool is not None:
+        pool.put(dp)
+    return cols
+
+
 def conv_transpose2d_bn_act(x: Tensor, weight: Tensor,
                             bias: Optional[Tensor] = None,
                             bn: Optional["BatchNorm2d"] = None,
@@ -367,10 +449,15 @@ def conv_transpose2d_bn_act(x: Tensor, weight: Tensor,
                             pool: Optional[ArrayPool] = None) -> Tensor:
     """Fused ``act(BN(conv_transpose2d(x)))`` as a single autograd node.
 
-    The deconvolution runs as one ``(N*h*w, C) @ (C, OC*kh*kw)`` GEMM
-    followed by a strided fold; batch norm and the activation apply to
-    the folded 4-D output (the fold mixes spatial positions, so the
-    2-D-layout trick of :func:`conv2d_bn_act` does not apply here).
+    The deconvolution runs as a per-tap GEMM fold (:func:`_fold_taps`)
+    over the batch-innermost input.  The node keeps that layout: its
+    output is an ``(N, OC, H, W)`` view of batch-innermost memory, so a
+    following transposed conv folds from it without a re-layout, and
+    batch norm (per-channel, so the layout is free) and the activation
+    run on contiguous ``N``-element spans.  The backward unfolds the
+    output gradient once (:func:`_unfold_taps`) and takes the input and
+    weight gradients as one GEMM each, reusing the forward's re-laid
+    input; the input gradient comes back batch-innermost as well.
     """
     c, oc, kh, kw = weight.data.shape
     n, _, h, w = x.data.shape
@@ -378,37 +465,33 @@ def conv_transpose2d_bn_act(x: Tensor, weight: Tensor,
     out_w = (w - 1) * stride - 2 * padding + kw
     _check_output_size(out_h, out_w, x.data.shape, kh, stride, padding,
                        transposed=True)
-    xg = _to_channel_cols(x.data, pool)
-    wmat = weight.data.reshape(c, oc * kh * kw)
-    if pool is not None:
-        cols = pool.take((n * h * w, oc * kh * kw), xg.dtype)
-        np.matmul(xg, wmat, out=cols)
-    else:
-        cols = xg @ wmat
-    pre = _col2im_gemm(cols, (n, oc, out_h, out_w), kh, kw, stride,
-                       padding, h, w)
-    if pool is not None:
-        # The fold copied the columns out; the scratch is dead already.
-        pool.put(cols)
+    xr, copied = _to_batch_inner(x.data, pool)
+    wtaps = np.ascontiguousarray(weight.data.transpose(0, 2, 3, 1))
+    pre = _fold_taps(xr, wtaps, out_h, out_w, stride, padding, pool)
     if bias is not None:
-        pre += bias.data[None, :, None, None]
+        pre += bias.data[:, None, None, None]
+    pre = pre.transpose(3, 0, 1, 2)
 
     normed = inv_std = None
     inv_m = 0.0
     bn_training = False
     if bn is not None:
         pre, normed, inv_std, inv_m, bn_training = _bn_forward_4d(bn, pre)
-    out, mask = _act_forward(pre, activation, slope)
+    # The activation runs on the (OC, H, W, N) memory order, so its
+    # pooled sign mask shares the layout.
+    act, mask = _act_forward(pre.transpose(1, 2, 3, 0), activation, slope)
+    out = act.transpose(3, 0, 1, 2)
 
     parents = [x, weight]
     if bias is not None:
         parents.append(bias)
     if bn is not None:
         parents.extend((bn.gamma, bn.beta))
-    xg_state = [xg]
+    xr_state = [xr if copied else None]
 
     def backward(grad: np.ndarray):
-        d_out = _act_backward(grad, activation, out, mask, slope)
+        d_out = _act_backward(grad.transpose(1, 2, 3, 0), activation, act,
+                              mask, slope).transpose(3, 0, 1, 2)
         dgamma = dbeta = None
         axes = (0, 2, 3)
         if bn is not None:
@@ -422,17 +505,22 @@ def conv_transpose2d_bn_act(x: Tensor, weight: Tensor,
                 d_pre = d_normed * inv_std
         else:
             d_pre = d_out
-        grad_cols, _, _ = _im2col_gemm(d_pre, kh, kw, stride, padding, pool)
-        gx = _from_channel_cols(grad_cols @ wmat.T, n, h, w) \
-            if x.requires_grad else None
+        grad_cols = _unfold_taps(d_pre, kh, kw, stride, padding, h, w, pool)
+        gx = None
+        if x.requires_grad:
+            gxr = wtaps.reshape(c, kh * kw * oc) @ grad_cols
+            gx = gxr.reshape(c, h, w, n).transpose(3, 0, 1, 2)
         gw = None
         if weight.requires_grad:
-            xg_local = xg_state[0]
-            if xg_local is None:
-                # Repeated backward: the pool reclaimed the input columns
-                # after the first pass; recompute privately.
-                xg_local = _to_channel_cols(x.data, None)
-            gw = (xg_local.T @ grad_cols).reshape(weight.data.shape)
+            xr_local = xr_state[0]
+            if xr_local is None:
+                # A batch-innermost input is a free view; a pooled
+                # re-layout was reclaimed after the first backward, so
+                # a repeated one recomputes it privately.
+                xr_local, _ = _to_batch_inner(x.data, None)
+            gw = (xr_local.reshape(c, h * w * n) @ grad_cols.T).reshape(
+                c, kh, kw, oc).transpose(0, 3, 1, 2)
+            gw = np.ascontiguousarray(gw)
         grads = [gx, gw]
         if bias is not None:
             grads.append(d_pre.sum(axis=axes) if bias.requires_grad
@@ -441,32 +529,16 @@ def conv_transpose2d_bn_act(x: Tensor, weight: Tensor,
             grads.extend((dgamma, dbeta))
         if pool is not None:
             pool.put(grad_cols)
-        _donate_scratch(xg_state, pool)
+        _donate_scratch(xr_state, pool)
         return tuple(grads)
 
     node = Tensor._make(out, tuple(parents), backward)
     if node._backward is None:
         # No backward closure will run; scratch and mask are dead.
-        _donate_scratch(xg_state, pool)
+        _donate_scratch(xr_state, pool)
         if mask is not None:
             _donate_mask(mask)
     return node
-
-
-def _apply_activation(out: Tensor, activation: Optional[str],
-                      slope: float) -> Tensor:
-    """Composed-op activation used by the float64 parity path."""
-    if activation is None:
-        return out
-    if activation == "relu":
-        return out.relu()
-    if activation == "leaky_relu":
-        return out.leaky_relu(slope)
-    if activation == "tanh":
-        return out.tanh()
-    if activation == "sigmoid":
-        return out.sigmoid()
-    raise ValueError(f"cannot fuse activation {activation!r}")
 
 
 class Conv2d(Module):
@@ -474,10 +546,8 @@ class Conv2d(Module):
 
     ``forward`` optionally fuses a following :class:`BatchNorm2d` and
     activation into the layer call: ``conv(x, activation="leaky_relu",
-    bn=self.bn)``.  In float32 fast-math mode the whole chain runs as
-    one :func:`conv2d_bn_act` tape node; in float64 parity mode the ops
-    compose exactly as the historical layer stack (bit-identical
-    outputs).
+    bn=self.bn)``.  The whole chain runs as one :func:`conv2d_bn_act`
+    tape node in either engine dtype.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -498,62 +568,19 @@ class Conv2d(Module):
     def forward(self, x: Tensor, activation: Optional[str] = None,
                 slope: float = 0.2,
                 bn: Optional["BatchNorm2d"] = None) -> Tensor:
-        if fast_math():
-            return conv2d_bn_act(x, self.weight, self.bias, bn=bn,
-                                 activation=activation, slope=slope,
-                                 stride=self.stride, padding=self.padding,
-                                 pool=self._pool)
-        out = self._forward_parity(x)
-        if bn is not None:
-            out = bn(out)
-        return _apply_activation(out, activation, slope)
-
-    def _forward_parity(self, x: Tensor) -> Tensor:
-        """Bit-exact conv: strided-view unfold + the historical einsums."""
-        k, s, p = self.kernel_size, self.stride, self.padding
-        weight = self.weight
-        bias = self.bias
-        pool = self._pool
-        n, c, h, w = x.data.shape
-        cols, oh, ow = _im2col(x.data, k, k, s, p, pool)
-        wmat = weight.data.reshape(self.out_channels, -1)
-        out = np.einsum("ok,nkl->nol", wmat, cols)
-        if bias is not None:
-            out = out + bias.data[None, :, None]
-        out = out.reshape(n, self.out_channels, oh, ow)
-
-        parents = (x, weight) if bias is None else (x, weight, bias)
-        cols_state = [cols]
-
-        def backward(grad: np.ndarray):
-            gmat = grad.reshape(n, self.out_channels, oh * ow)
-            cols_local = cols_state[0]
-            if cols_local is None:
-                # Repeated backward: the pool reclaimed the columns after
-                # the first pass; recompute privately.
-                cols_local, _, _ = _im2col(x.data, k, k, s, p, None)
-            grad_w = np.einsum("nol,nkl->ok", gmat, cols_local).reshape(
-                weight.data.shape)
-            grad_cols = np.einsum("ok,nol->nkl", wmat, gmat)
-            grad_x = _col2im(grad_cols, (n, c, h, w), k, k, s, p, oh, ow)
-            _donate_scratch(cols_state, pool)
-            if bias is None:
-                return (grad_x, grad_w)
-            grad_b = gmat.sum(axis=(0, 2))
-            return (grad_x, grad_w, grad_b)
-
-        node = Tensor._make(out, parents, backward)
-        if node._backward is None:
-            _donate_scratch(cols_state, pool)
-        return node
+        return conv2d_bn_act(x, self.weight, self.bias, bn=bn,
+                             activation=activation, slope=slope,
+                             stride=self.stride, padding=self.padding,
+                             pool=self._pool)
 
 
 class ConvTranspose2d(Module):
     """Fractionally strided ("de-") convolution, the DCGAN generator op.
 
     ``forward`` accepts the same ``activation=`` / ``bn=`` fusion hooks
-    as :class:`Conv2d` (one :func:`conv_transpose2d_bn_act` node in
-    fast-math mode, the bit-exact composed chain in parity mode).
+    as :class:`Conv2d`; the chain runs as one
+    :func:`conv_transpose2d_bn_act` node (the per-tap GEMM fold) in
+    either engine dtype.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -577,62 +604,23 @@ class ConvTranspose2d(Module):
     def forward(self, x: Tensor, activation: Optional[str] = None,
                 slope: float = 0.2,
                 bn: Optional["BatchNorm2d"] = None) -> Tensor:
-        if fast_math():
-            return conv_transpose2d_bn_act(
-                x, self.weight, self.bias, bn=bn, activation=activation,
-                slope=slope, stride=self.stride, padding=self.padding,
-                pool=self._pool)
-        out = self._forward_parity(x)
-        if bn is not None:
-            out = bn(out)
-        return _apply_activation(out, activation, slope)
-
-    def _forward_parity(self, x: Tensor) -> Tensor:
-        """Bit-exact deconv: the historical einsum/fold op sequence."""
-        k, s, p = self.kernel_size, self.stride, self.padding
-        weight = self.weight
-        bias = self.bias
-        pool = self._pool
-        n, c, h, w = x.data.shape
-        out_h = self.output_size(h)
-        out_w = self.output_size(w)
-        _check_output_size(out_h, out_w, x.data.shape, k, s, p,
-                           transposed=True)
-        xm = x.data.reshape(n, c, h * w)
-        wmat = weight.data.reshape(c, -1)  # (C, OC*k*k)
-        cols = np.einsum("ck,ncl->nkl", wmat, xm)
-        out = _col2im(cols, (n, self.out_channels, out_h, out_w), k, k, s, p,
-                      h, w)
-        if bias is not None:
-            out = out + bias.data[None, :, None, None]
-
-        parents = (x, weight) if bias is None else (x, weight, bias)
-
-        def backward(grad: np.ndarray):
-            grad_cols, _, _ = _im2col(grad, k, k, s, p, pool)
-            grad_x = np.einsum("ck,nkl->ncl", wmat, grad_cols).reshape(
-                n, c, h, w)
-            grad_w = np.einsum("ncl,nkl->ck", xm, grad_cols).reshape(
-                weight.data.shape)
-            pool.put(grad_cols)
-            if bias is None:
-                return (grad_x, grad_w)
-            grad_b = grad.sum(axis=(0, 2, 3))
-            return (grad_x, grad_w, grad_b)
-
-        return Tensor._make(out, parents, backward)
+        return conv_transpose2d_bn_act(
+            x, self.weight, self.bias, bn=bn, activation=activation,
+            slope=slope, stride=self.stride, padding=self.padding,
+            pool=self._pool)
 
 
 class BatchNorm2d(Module):
     """Batch normalization per channel of ``(N, C, H, W)`` activations.
 
-    Like :class:`repro.nn.layers.BatchNorm1d`, the float32 fast-math
-    mode runs a single fused tape node with the analytic input gradient
-    (``activation="relu"`` / ``"leaky_relu"`` optionally fold the
-    following nonlinearity in); the float64 parity mode keeps the
-    composed op chain.  When the layer follows a convolution, prefer the
-    conv-side fusion hooks (``Conv2d.forward(bn=...)``), which fold the
-    convolution into the same node as well.
+    Like :class:`repro.nn.layers.BatchNorm1d`'s fused path, the forward
+    is a single tape node with the analytic input gradient in either
+    engine dtype (``activation="relu"`` / ``"leaky_relu"`` optionally
+    fold the following nonlinearity in); the statistics, running-stat
+    update and eval-mode cast are those of :func:`_bn_forward_4d`.  When
+    the layer follows a convolution, prefer the conv-side fusion hooks
+    (``Conv2d.forward(bn=...)``), which fold the convolution into the
+    same node as well.
     """
 
     def __init__(self, num_channels: int, momentum: float = 0.1,
@@ -648,35 +636,6 @@ class BatchNorm2d(Module):
 
     def forward(self, x: Tensor, activation: Optional[str] = None,
                 slope: float = 0.2) -> Tensor:
-        axes = (0, 2, 3)
-        if self.training and x.shape[0] > 1:
-            if not fast_math():
-                # float64 parity: the composed op chain, bit-exact with
-                # the historical engine (training trajectories).
-                mean = x.mean(axis=axes, keepdims=True)
-                centered = x - mean
-                var = (centered * centered).mean(axis=axes, keepdims=True)
-                self.running_mean = ((1 - self.momentum) * self.running_mean
-                                     + self.momentum * mean.data)
-                self.running_var = ((1 - self.momentum) * self.running_var
-                                    + self.momentum * var.data)
-                normed = centered * ((var + self.eps) ** -0.5)
-                return _apply_activation(normed * self.gamma + self.beta,
-                                         activation, slope)
-        return self._forward_node(x, activation, slope)
-
-    def _forward_node(self, x: Tensor, activation: Optional[str] = None,
-                      slope: float = 0.2) -> Tensor:
-        """Single-tape-node batch norm (+ activation).
-
-        Used for batch statistics in fast-math mode (analytic input
-        gradient, not bit-exact) and for running-stat normalization in
-        *both* dtypes — the eval branch of :func:`_bn_forward_4d`
-        evaluates the exact elementwise expressions of the composed
-        chain, so eval forwards stay bit-identical while skipping ~6
-        full-size temporaries per call on the streaming-sampling path
-        (same rationale as ``BatchNorm1d._forward_eval``).
-        """
         pre, normed, inv_std, inv_m, training = _bn_forward_4d(self, x.data)
         gamma, beta = self.gamma, self.beta
         out, mask = _act_forward(pre, activation, slope)

@@ -13,8 +13,9 @@ Engine dtype
 ------------
 The engine computes in a configurable default dtype:
 
-* ``float64`` (the default) — exact-parity mode.  Training trajectories
-  are bit-for-bit reproducible and match the reference implementation;
+* ``float64`` (the default) — the higher-precision deterministic mode.
+  Training trajectories are bit-for-bit reproducible run to run, and
+  outside the convolutions they match the reference implementation;
   the test suite's tight tolerances assume it.
 * ``float32`` — training mode.  Halves memory traffic and roughly
   doubles BLAS throughput; additionally enables *fast-math* rewrites
@@ -75,7 +76,11 @@ def fast_math() -> bool:
 
     Tied to the engine dtype: float32 already trades exactness for
     speed, so sum re-associations (batched projections, split matmuls)
-    are only taken there; float64 keeps the bit-exact op-by-op path.
+    are only taken there; float64 keeps the bit-exact op-by-op path in
+    the layers that still consult this flag (MLP, LSTM, heads, losses).
+    The convolutions no longer do: ``repro.nn.conv`` runs its GEMM
+    kernels in both dtypes, so float64 conv outputs are deterministic
+    but no longer bit-identical to the historical einsum engine.
     """
     return _default_dtype is np.float32
 

@@ -132,3 +132,26 @@ def test_conv_fused_repeated_backward_is_clean():
         x.grad = None
         loss.backward()   # pooled unfold scratch must not be re-donated
     assert x.grad is not None
+
+
+def test_cnn_sample_returns_fold_scratch():
+    """A gan-cnn draw runs the transposed-conv fold under ``no_grad``:
+    the re-laid input, the per-tap buffer and the accumulator it takes
+    from each layer's pool must all be back when the draw returns."""
+    from repro.core.design_space import DesignConfig
+    from repro.gan.synthesizer import GANSynthesizer
+    from tests.conftest import make_mixed_table
+
+    config = DesignConfig(generator="cnn", categorical_encoding="ordinal",
+                          numerical_normalization="simple")
+    synth = GANSynthesizer(config, epochs=1, iterations_per_epoch=2,
+                           seed=3).fit(make_mixed_table(120))
+    deconvs = (synth.generator.deconv1, synth.generator.deconv2)
+    for layer in deconvs:
+        layer._pool.clear()
+    with sanitized():
+        with pool_leak_scope():
+            table = synth.sample(300, seed=5)
+    assert len(table) == 300
+    for layer in deconvs:  # the fold did draw its scratch from the pool
+        assert layer._pool._buffers

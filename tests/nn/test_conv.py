@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Conv2d, ConvTranspose2d, BatchNorm2d, Tensor
-from repro.nn.conv import _col2im, _im2col
+from repro.nn.conv import _col2im_gemm, _im2col_gemm
 
 from tests.conftest import numeric_gradient
 
@@ -12,17 +12,17 @@ from tests.conftest import numeric_gradient
 class TestIm2Col:
     def test_shapes(self, rng):
         x = rng.normal(size=(2, 3, 8, 8))
-        cols, oh, ow = _im2col(x, 3, 3, stride=2, pad=1)
+        cols, oh, ow = _im2col_gemm(x, 3, 3, stride=2, pad=1)
         assert (oh, ow) == (4, 4)
-        assert cols.shape == (2, 3 * 9, 16)
+        assert cols.shape == (2 * 16, 3 * 9)
 
     def test_adjoint_identity(self, rng):
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint pair."""
         x = rng.normal(size=(1, 2, 6, 6))
-        cols, oh, ow = _im2col(x, 3, 3, stride=1, pad=1)
+        cols, oh, ow = _im2col_gemm(x, 3, 3, stride=1, pad=1)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
-        back = _col2im(y, x.shape, 3, 3, stride=1, pad=1, oh=oh, ow=ow)
+        back = _col2im_gemm(y, x.shape, 3, 3, stride=1, pad=1, oh=oh, ow=ow)
         rhs = float((x * back).sum())
         assert lhs == pytest.approx(rhs)
 
